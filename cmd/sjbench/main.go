@@ -285,7 +285,7 @@ func concurrent() error {
 }
 
 // prefilterWire measures the Section 4.3 fast path end-to-end over the
-// v2 wire protocol: a loopback server, indexed uploads, and one join
+// v3 wire protocol: a loopback server, indexed uploads, and one join
 // per selectivity executed three ways — full scan, SSE-prefiltered,
 // and prefiltered with the server's parallel SJ.Dec worker pool.
 func prefilterWire(rows int, outDir string) error {

@@ -25,7 +25,7 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "address for the HTTP /metrics + /healthz endpoint (empty = disabled)")
 	maxJoins := flag.Int("maxjoins", 0, "max joins executing at once across all connections; excess joins are shed (0 = unlimited)")
 	idleTimeout := flag.Duration("idletimeout", 0, "close connections idle longer than this, e.g. 5m (0 = never)")
-	decCacheBytes := flag.Int64("decrypt-cache-bytes", 64<<20, "byte budget for the decrypt-result cache (0 = disabled)")
+	decCacheBytes := flag.Int64("decrypt-cache-bytes", 0, "byte budget for the decrypt-result cache (0 = disabled); only a re-sent token can hit, so it is off by default")
 	jobWorkers := flag.Int("job-workers", 0, "join worker pool size for sync joins and async jobs (0 = max(2, GOMAXPROCS))")
 	jobTTL := flag.Duration("job-ttl", 0, "keep finished async job results this long, e.g. 30m (0 = 1h default, negative = forever)")
 	flag.Parse()

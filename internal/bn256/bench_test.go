@@ -69,16 +69,14 @@ func BenchmarkMillerLoopOnly(b *testing.B) {
 	_, q, _ := RandomG2(rand.Reader)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slots := []*pairSlot{newPairSlot(&p.p, &q.p)}
-		millerBatch(slots)
+		recordMiller([]*twistPoint{&q.p}).miller([]*curvePoint{&p.p})
 	}
 }
 
 func BenchmarkFinalExponentiationOnly(b *testing.B) {
 	_, p, _ := RandomG1(rand.Reader)
 	_, q, _ := RandomG2(rand.Reader)
-	slots := []*pairSlot{newPairSlot(&p.p, &q.p)}
-	f := millerBatch(slots)
+	f := recordMiller([]*twistPoint{&q.p}).miller([]*curvePoint{&p.p})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		finalExponentiation(&f)
@@ -113,8 +111,8 @@ func BenchmarkPairBatchedVsNaive(b *testing.B) {
 }
 
 // BenchmarkPairBatchPrecomputed quantifies the fixed-argument saving:
-// with the G1 side recorded once, each evaluation pays only the line
-// evaluations at Q, the accumulator squarings, and the final
+// with the G2 side recorded once, each evaluation pays only the line
+// evaluations at P, the accumulator squarings, and the final
 // exponentiation — the per-step inversions and T-chain updates are
 // gone.
 func BenchmarkPairBatchPrecomputed(b *testing.B) {
@@ -127,13 +125,13 @@ func BenchmarkPairBatchPrecomputed(b *testing.B) {
 	}
 	b.Run("precompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			PrecomputePairBatch(ps)
+			PrecomputePairBatch(qs)
 		}
 	})
-	pc := PrecomputePairBatch(ps)
+	pc := PrecomputePairBatch(qs)
 	b.Run("evaluate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			PairBatchPrecomputed(pc, qs)
+			PairBatchPrecomputed(pc, ps)
 		}
 	})
 	b.Run("direct", func(b *testing.B) {

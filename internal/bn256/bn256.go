@@ -206,7 +206,8 @@ func (e *G2) Marshal() []byte {
 }
 
 // Unmarshal decodes a point produced by Marshal, verifying both the twist
-// equation and membership in the order-r subgroup.
+// equation and membership in the order-r subgroup (the twist has a
+// large cofactor, so the curve equation alone is not enough).
 func (e *G2) Unmarshal(data []byte) error {
 	if len(data) != 128 {
 		return errors.New("bn256: invalid G2 encoding length")
@@ -232,37 +233,29 @@ func (e *G2) Unmarshal(data []byte) error {
 	if !a.isOnTwist() {
 		return errors.New("bn256: malformed G2 point")
 	}
-	var check twistPoint
-	check.Mul(&a, Order)
-	if !check.IsInfinity() {
+	if !a.inG2() {
 		return errors.New("bn256: G2 point not in the order-r subgroup")
 	}
 	e.p.Set(&a)
 	return nil
 }
 
-// Pair computes the reduced Tate pairing e(p, q).
+// Pair computes the optimal ate pairing e(p, q).
 func Pair(p *G1, q *G2) *GT {
-	gt := &GT{}
-	gt.p = pair(&p.p, &q.p)
-	return gt
+	return PairBatch([]*G1{p}, []*G2{q})
 }
 
-// PairBatch computes the product of pairings prod_i e(ps[i], qs[i]) with a
-// single shared Miller loop and one final exponentiation. It is
-// substantially faster than multiplying len(ps) individual pairings.
+// PairBatch computes the product of pairings prod_i e(ps[i], qs[i]) with
+// one shared Miller loop and one final exponentiation, substantially
+// faster than multiplying len(ps) individual pairings. It records the
+// Miller program of qs and evaluates it once; callers that pair the
+// same qs against many G1 batches should record it once with
+// PrecomputePairBatch instead.
 func PairBatch(ps []*G1, qs []*G2) *GT {
-	cps := make([]*curvePoint, len(ps))
-	cqs := make([]*twistPoint, len(qs))
-	for i := range ps {
-		cps[i] = &ps[i].p
+	if len(ps) != len(qs) {
+		panic("bn256: mismatched pairing batch")
 	}
-	for i := range qs {
-		cqs[i] = &qs[i].p
-	}
-	gt := &GT{}
-	gt.p = pairBatch(cps, cqs)
-	return gt
+	return PairBatchPrecomputed(PrecomputePairBatch(qs), ps)
 }
 
 // Mul sets e = a * b (the GT group operation) and returns e.

@@ -1,6 +1,6 @@
 // Package bn256 implements a 256-bit Barreto–Naehrig pairing-friendly
-// elliptic curve with groups G1, G2 and GT of prime order Order, and a
-// bilinear Tate pairing e: G1 x G2 -> GT.
+// elliptic curve with groups G1, G2 and GT of prime order Order, and the
+// bilinear optimal ate pairing e: G1 x G2 -> GT.
 //
 // The curve is defined by the BN parameter u below; the field prime p,
 // the group order r, the trace of Frobenius t and the G2 twist cofactor
@@ -14,8 +14,13 @@
 // G1 is the group of points of E: y^2 = x^3 + 3 over Fp with generator
 // (1, 2). G2 is the order-r subgroup of the sextic D-twist
 // E': y^2 = x^3 + 3/xi over Fp2, and GT is the order-r subgroup of
-// Fp12*. The pairing is the reduced Tate pairing computed with a Miller
-// loop over r and a final exponentiation to the power (p^12-1)/r.
+// Fp12*. The pairing is the optimal ate pairing of Vercauteren
+// ("Optimal Pairings", IEEE TIT 2010): a Miller loop that walks
+// multiples of the G2 point over the NAF of 6u+2 (66 digits), closed by
+// two lines through the Frobenius twists pi(Q) and -pi^2(Q), then a
+// final exponentiation to the power (p^12-1)/r. The loop depends only
+// on the G2 argument, so it is recorded once per G2 batch and replayed
+// at any G1 points (see PrecomputePairBatch).
 //
 // The implementation is self-contained (standard library only): Fp uses
 // 4x64-bit Montgomery limbs and the extension tower Fp2/Fp6/Fp12 is
@@ -43,6 +48,9 @@ var (
 	// finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
 	// exponentiation.
 	finalExpHard *big.Int
+	// ateLoopNAF is the non-adjacent form of the optimal ate loop
+	// length 6u+2, least significant digit first.
+	ateLoopNAF []int8
 )
 
 func bigFromBase10(s string) *big.Int {
@@ -93,6 +101,26 @@ func initParams() {
 		panic("bn256: (p^4 - p^2 + 1) not divisible by r")
 	}
 	finalExpHard = h
+
+	loop := new(big.Int).Mul(u, big.NewInt(6))
+	ateLoopNAF = naf(loop.Add(loop, big.NewInt(2)))
+}
+
+// naf returns the non-adjacent form of k > 0, least significant digit
+// first: digits in {-1, 0, 1} with no two adjacent non-zero digits.
+func naf(k *big.Int) []int8 {
+	k = new(big.Int).Set(k)
+	var digits []int8
+	for k.Sign() > 0 {
+		var d int8
+		if k.Bit(0) == 1 {
+			d = 2 - int8(k.Bit(1)<<1|k.Bit(0)) // k mod 4 = 1 -> 1, 3 -> -1
+			k.Sub(k, big.NewInt(int64(d)))
+		}
+		digits = append(digits, d)
+		k.Rsh(k, 1)
+	}
+	return digits
 }
 
 func init() {

@@ -2,6 +2,7 @@ package bn256
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -242,5 +243,92 @@ func TestNormHandlesNegativeScalars(t *testing.T) {
 	want := new(G1).ScalarBaseMult(new(big.Int).Sub(Order, big.NewInt(3)))
 	if !p.Equal(want) {
 		t.Fatal("negative scalar not normalized")
+	}
+}
+
+// randTwistPoint returns a uniformly random point of E'(Fp2), which
+// almost surely lies outside G2 (the twist cofactor is about p).
+func randTwistPoint(t *testing.T) *twistPoint {
+	t.Helper()
+	for {
+		x := randGFp2(t)
+		var rhs, y gfP2
+		rhs.Square(x)
+		rhs.Mul(&rhs, x)
+		rhs.Add(&rhs, &twistB)
+		if !y.Sqrt(&rhs) {
+			continue
+		}
+		pt := &twistPoint{x: *x, y: y}
+		pt.z.SetOne()
+		return pt
+	}
+}
+
+// TestG2SubgroupCheckMatchesOrderCheck compares the fast membership
+// test against the definition [r]Q == 0 on points inside G2, on random
+// twist points, on their cofactor-order parts, and on points whose
+// order involves the small prime factors 10069 and 5864401 of the twist
+// cofactor. Both checks must agree on every point.
+func TestG2SubgroupCheckMatchesOrderCheck(t *testing.T) {
+	orderCheck := func(q *twistPoint) bool {
+		var c twistPoint
+		return c.Mul(q, Order).IsInfinity()
+	}
+	type tc struct {
+		name string
+		q    twistPoint
+		in   bool
+	}
+	var cases []tc
+	for i := 0; i < 3; i++ {
+		_, g2, err := RandomG2(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{"G2", g2.p, true})
+
+		r := randTwistPoint(t)
+		var cleared, torsion twistPoint
+		cleared.Mul(r, twistCofactor)
+		torsion.Mul(r, Order)
+		cases = append(cases,
+			tc{"random twist point", *r, false},
+			tc{"cofactor-cleared", cleared, true},
+			tc{"cofactor torsion", torsion, false})
+		for _, l := range []int64{10069, 5864401} {
+			k := new(big.Int).Div(twistCofactor, big.NewInt(l))
+			if new(big.Int).Mul(k, big.NewInt(l)).Cmp(twistCofactor) != 0 {
+				t.Fatalf("%d does not divide the twist cofactor", l)
+			}
+			var mixed, small twistPoint
+			mixed.Mul(r, k)          // order l*r
+			small.Mul(&mixed, Order) // order l
+			cases = append(cases,
+				tc{fmt.Sprintf("order %d*r", l), mixed, false},
+				tc{fmt.Sprintf("order %d", l), small, false})
+		}
+	}
+	for _, c := range cases {
+		if c.q.IsInfinity() {
+			continue
+		}
+		if !c.q.isOnTwist() {
+			t.Fatalf("%s: test point is off the twist", c.name)
+		}
+		want := orderCheck(&c.q)
+		if want != c.in {
+			t.Fatalf("%s: [r]Q == 0 is %v, want %v", c.name, want, c.in)
+		}
+		if got := c.q.inG2(); got != want {
+			t.Fatalf("%s: fast membership test says %v, [r]Q check says %v", c.name, got, want)
+		}
+		var a twistPoint
+		a.Set(&c.q)
+		a.MakeAffine()
+		data := (&G2{p: a}).Marshal()
+		if err := new(G2).Unmarshal(data); (err == nil) != want {
+			t.Fatalf("%s: Unmarshal error %v, want membership %v", c.name, err, want)
+		}
 	}
 }

@@ -19,8 +19,10 @@ var (
 	r2 gfP
 	// rOne is 1 in Montgomery form (2^256 mod p).
 	rOne gfP
-	// pMinus2 is p-2, the Fermat inversion exponent.
-	pMinus2 *big.Int
+	// r3 is 2^768 mod p as raw limbs: a Montgomery multiplication by r3
+	// turns the plain inverse of a Montgomery-form value back into
+	// Montgomery form.
+	r3 gfP
 )
 
 func initGFp() {
@@ -49,7 +51,7 @@ func initGFp() {
 	rBig := new(big.Int).Mod(big256, P)
 	rOne = gfPFromRawBig(rBig)
 
-	pMinus2 = new(big.Int).Sub(P, big.NewInt(2))
+	r3 = gfPFromRawBig(new(big.Int).Mod(new(big.Int).Mul(r2Big, big256), P))
 }
 
 // gfPFromRawBig loads a reduced big.Int into limbs without Montgomery
@@ -290,10 +292,23 @@ func (e *gfP) Exp(a *gfP, k *big.Int) *gfP {
 	return e
 }
 
-// Invert sets e = a^-1 mod p via Fermat's little theorem and returns e.
-// Inverting zero yields zero.
+// Invert sets e = a^-1 mod p and returns e. Inverting zero yields zero.
+// The limbs of a hold aR, so the extended-Euclid inverse of the raw
+// limbs is a^-1 R^-1, and one Montgomery multiplication by R^3 yields
+// a^-1 R. Like the rest of the package this is not constant time; it
+// is about ten times faster than a Fermat exponentiation, which matters
+// because recording a Miller program inverts once per loop step.
 func (e *gfP) Invert(a *gfP) *gfP {
-	return e.Exp(a, pMinus2)
+	words := make([]big.Word, 4)
+	for i, l := range a {
+		words[i] = big.Word(l)
+	}
+	n := new(big.Int).SetBits(words)
+	if n.ModInverse(n, P) == nil {
+		return e.SetZero()
+	}
+	inv := gfPFromRawBig(n)
+	return e.Mul(&inv, &r3)
 }
 
 // Marshal appends the 32-byte big-endian canonical encoding of e to out.

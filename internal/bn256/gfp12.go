@@ -305,126 +305,45 @@ func (e *gfP12) Frobenius2(a *gfP12) *gfP12 {
 	return e
 }
 
-// mulSparseScalar01 sets e = a * (c + m1 tau) for a base-field scalar c
-// and an Fp2 coefficient m1: the sparse shape of one Tate line's Fp6
-// half. Karatsuba on the low terms plus scalar multiplications for c
-// costs 13 base-field multiplications against 18 for a general gfP6
-// multiplication.
-func (e *gfP6) mulSparseScalar01(a *gfP6, c *gfP, m1 *gfP2) *gfP6 {
-	// (b0 + b1 tau + b2 tau^2)(c + m1 tau) =
-	//   (c b0 + xi b2 m1) + (b0 m1 + c b1) tau + (b1 m1 + c b2) tau^2
-	var t0, t1, cross, u0, u1, cm gfP2
-	t0.MulScalar(&a.b0, c)
-	t1.Mul(&a.b1, m1)
-	cross.Add(&a.b0, &a.b1)
-	cm.a0.Add(c, &m1.a0)
-	cm.a1.Set(&m1.a1)
-	cross.Mul(&cross, &cm)
-	cross.Sub(&cross, &t0)
-	cross.Sub(&cross, &t1) // b0 m1 + c b1
-	u0.MulScalar(&a.b2, c)
-	u1.Mul(&a.b2, m1)
-	u1.MulXi(&u1)
-
-	var c0, c2 gfP2
-	c0.Add(&t0, &u1)
-	c2.Add(&t1, &u0)
-	e.b0.Set(&c0)
-	e.b1.Set(&cross)
-	e.b2.Set(&c2)
-	return e
-}
-
-// mulSparseOne01 sets e = a * (1 + m1 tau): the monic form of a line's
-// Fp6 half. The unit constant term makes the Karatsuba cross terms
-// plain additions, leaving 9 base-field multiplications.
-func (e *gfP6) mulSparseOne01(a *gfP6, m1 *gfP2) *gfP6 {
-	// (b0 + b1 tau + b2 tau^2)(1 + m1 tau) =
-	//   (b0 + xi b2 m1) + (b1 + b0 m1) tau + (b2 + b1 m1) tau^2
-	var t0, t1, t2 gfP2
-	t0.Mul(&a.b0, m1)
-	t1.Mul(&a.b1, m1)
-	t2.Mul(&a.b2, m1)
-	t2.MulXi(&t2)
-
-	var c0, c1, c2 gfP2
-	c0.Add(&a.b0, &t2)
-	c1.Add(&a.b1, &t0)
-	c2.Add(&a.b2, &t1)
+// mulTauPlus sets e = a * (m + tau) for an Fp2 coefficient m: the
+// omega half of an ate line. tau^3 = xi folds the top term back, so the
+// product costs 3 Fp2 multiplications:
+//
+//	(b0 + b1 tau + b2 tau^2)(m + tau) =
+//	  (b0 m + xi b2) + (b0 + b1 m) tau + (b1 + b2 m) tau^2
+func (e *gfP6) mulTauPlus(a *gfP6, m *gfP2) *gfP6 {
+	var c0, c1, c2, t gfP2
+	c0.Mul(&a.b0, m)
+	t.MulXi(&a.b2)
+	c0.Add(&c0, &t)
+	c1.Mul(&a.b1, m)
+	c1.Add(&c1, &a.b0)
+	c2.Mul(&a.b2, m)
+	c2.Add(&c2, &a.b1)
 	e.b0.Set(&c0)
 	e.b1.Set(&c1)
 	e.b2.Set(&c2)
 	return e
 }
 
-// mulLineMonic multiplies e by the monic sparse line element
-// l = 1 + (l01)*tau + (l11*tau)*omega. Precomputed pairing programs
-// normalize each line by its base-field constant (an Fp factor the
-// final exponentiation erases), which drops the per-line cost to 9 Fp2
-// multiplications.
-func (e *gfP12) mulLineMonic(a *gfP12, l01, l11 *gfP2) *gfP12 {
-	// b = b0 + b1 w with b0 = (1, l01, 0), b1 = (0, l11, 0).
-	var v0, v1, s gfP6
-	v0.mulSparseOne01(&a.c0, l01) // a0 * (1 + l01 tau)
-
-	// v1 = a1 * (l11 tau): (x0 + x1 tau + x2 tau^2) l11 tau =
-	//   xi x2 l11 + x0 l11 tau + x1 l11 tau^2.
-	var w0, w1, w2 gfP2
-	w0.Mul(&a.c1.b2, l11)
-	w0.MulXi(&w0)
-	w1.Mul(&a.c1.b0, l11)
-	w2.Mul(&a.c1.b1, l11)
-	v1.b0.Set(&w0)
-	v1.b1.Set(&w1)
-	v1.b2.Set(&w2)
-
-	var sum01 gfP2
-	sum01.Add(l01, l11)
-	s.Add(&a.c0, &a.c1)
-	s.mulSparseOne01(&s, &sum01) // (a0+a1)(b0+b1)
-	s.Sub(&s, &v0)
-	s.Sub(&s, &v1)
-
-	var v1t gfP6
-	v1t.MulTau(&v1)
-	e.c0.Add(&v0, &v1t)
-	e.c1.Set(&s)
-	return e
-}
-
-// mulLine multiplies e by the sparse line element
-// l = c + (l01)*tau + (l11*tau)*omega with c in the base field, the
-// shape produced by Tate pairing line evaluations (c = lambda*Tx - Ty
-// is a base-field scalar). The true sparse product costs ~12 Fp2
+// mulLine sets e = a * l for the sparse ate line
+// l = l0 + l1 omega + omega^3, the normalized shape the recorded
+// Miller program produces (see pairing.go). With l = b0 + b1 omega,
+// b0 = l0 and b1 = l1 + tau, Karatsuba over omega costs 9 Fp2
 // multiplications against 18 for a general gfP12 Mul.
-func (e *gfP12) mulLine(a *gfP12, c *gfP, l01, l11 *gfP2) *gfP12 {
-	// b = b0 + b1 w with b0 = (c, l01, 0), b1 = (0, l11, 0).
-	// Karatsuba over w: v0 = a0 b0, v1 = a1 b1,
-	// c1 = (a0+a1)(b0+b1) - v0 - v1, c0 = v0 + tau v1.
+func (e *gfP12) mulLine(a *gfP12, l0, l1 *gfP2) *gfP12 {
 	var v0, v1, s gfP6
-	v0.mulSparseScalar01(&a.c0, c, l01) // a0 * (c + l01 tau)
-
-	// v1 = a1 * (l11 tau): (x0 + x1 tau + x2 tau^2) l11 tau =
-	//   xi x2 l11 + x0 l11 tau + x1 l11 tau^2.
-	var w0, w1, w2 gfP2
-	w0.Mul(&a.c1.b2, l11)
-	w0.MulXi(&w0)
-	w1.Mul(&a.c1.b0, l11)
-	w2.Mul(&a.c1.b1, l11)
-	v1.b0.Set(&w0)
-	v1.b1.Set(&w1)
-	v1.b2.Set(&w2)
-
-	var sum01 gfP2
-	sum01.Add(l01, l11)
+	v0.MulScalar(&a.c0, l0)
+	v1.mulTauPlus(&a.c1, l1)
+	var m gfP2
+	m.Add(l0, l1)
 	s.Add(&a.c0, &a.c1)
-	s.mulSparseScalar01(&s, c, &sum01) // (a0+a1)(b0+b1)
+	s.mulTauPlus(&s, &m) // (a0 + a1)(b0 + b1)
 	s.Sub(&s, &v0)
 	s.Sub(&s, &v1)
 
-	var v1t gfP6
-	v1t.MulTau(&v1)
-	e.c0.Add(&v0, &v1t)
+	v1.MulTau(&v1)
+	e.c0.Add(&v0, &v1)
 	e.c1.Set(&s)
 	return e
 }

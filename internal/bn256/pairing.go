@@ -1,49 +1,73 @@
 package bn256
 
-// The reduced Tate pairing e(P, Q) = f_{r,P}(psi(Q))^((p^12-1)/r), where
-// psi is the untwisting isomorphism psi(x, y) = (omega^2 x, omega^3 y)
-// from the twist E'(Fp2) into E(Fp12).
+// The optimal ate pairing on BN curves (Vercauteren, "Optimal
+// Pairings", IEEE TIT 2010):
 //
-// The Miller loop walks multiples of P with affine arithmetic over Fp
-// (cheap), evaluating the line functions at psi(Q). Because the
-// embedding degree is even and psi(Q)'s x-coordinate lies in the
-// subfield Fp6 (omega^2 = tau), vertical lines evaluate into Fp6 and
-// are erased by the final exponentiation, so they are skipped
-// ("denominator elimination").
+//	e(P, Q) = (f_{6u+2,Q}(P) * l_{T,pi(Q)}(P) * l_{T+pi(Q),-pi^2(Q)}(P))^((p^12-1)/r)
 //
-// millerBatch evaluates the product of several pairings in one loop.
-// All slots share the loop over r, so the per-step affine inversions
-// are batched with Montgomery's simultaneous-inversion trick and the
-// expensive final exponentiation is performed once. This is the
-// workhorse behind SJ.Dec, which pairs a d-element token with a
-// d-element ciphertext.
+// where T = [6u+2]Q and pi is the twisted Frobenius (twistPoint.Frobenius).
+// The Miller loop walks multiples of Q on the twist over the NAF of
+// 6u+2: 65 doublings and 21 additions, then the two Frobenius lines.
+//
+// Every point the loop visits, and so every line slope, depends only
+// on Q. The loop is therefore split in two: recordMiller walks a fixed
+// batch of G2 points once, in affine coordinates with the per-step
+// inversions batched across the batch (Montgomery's trick), and records
+// a flat program of accumulator squarings and line coefficients;
+// PairingPrecomp.miller evaluates that program at a batch of G1 points.
+// Pair and PairBatch record and evaluate in one go, so there is exactly
+// one Miller loop. SJ.Dec pairs one token (G2) against every row
+// ciphertext (G1) of a table, so the server records once per token and
+// pays only the evaluation per row.
+//
+// A line through twist points T and T' with slope lambda, untwisted by
+// (x, y) -> (omega^2 x, omega^3 y), evaluates at P = (xP, yP) in E(Fp) to
+//
+//	l(P) = yP + (-lambda xP) omega + (lambda Tx - Ty) omega^3.
+//
+// Any factor in a proper subfield of Fp12 is erased by the final
+// exponentiation (p^2-1 divides (p^12-1)/r), so each recorded line is
+// divided by its Fp2 constant c = lambda Tx - Ty. The evaluation then
+// multiplies in the sparse element a yP + (b xP) omega + omega^3 with
+// a = 1/c and b = -lambda/c, which mulLine does with 9 Fp2
+// multiplications. The rare c == 0 line keeps a = 1, b = -lambda.
 
-// pairSlot carries the per-pair Miller loop state.
-type pairSlot struct {
-	px, py gfP  // affine P
-	qx, qy gfP2 // affine Q on the twist
-	tx, ty gfP  // running point T = kP, affine
-	inf    bool // T is the point at infinity
-	skip   bool // degenerate input (P or Q at infinity): contribute 1
+// lineOp is one step of a recorded Miller program: an accumulator
+// squaring (slot < 0), or a line multiplication for slot.
+type lineOp struct {
+	slot  int32
+	monic bool // the omega^3 coefficient is 1 (else 0)
+	a, b  gfP2
 }
+
+// PairingPrecomp is the recorded Miller program of a fixed batch of G2
+// points. It is immutable after construction and safe for concurrent
+// use by multiple goroutines.
+type PairingPrecomp struct {
+	n   int
+	ops []lineOp
+}
+
+// Size returns the number of G2 slots the program was built for.
+func (pc *PairingPrecomp) Size() int { return pc.n }
 
 // batchInvert replaces each element of xs with its inverse using
 // Montgomery's trick: one field inversion plus 3(n-1) multiplications.
 // All inputs must be non-zero.
-func batchInvert(xs []*gfP) {
+func batchInvert(xs []*gfP2) {
 	n := len(xs)
 	if n == 0 {
 		return
 	}
-	prefix := make([]gfP, n)
+	prefix := make([]gfP2, n)
 	prefix[0] = *xs[0]
 	for i := 1; i < n; i++ {
 		prefix[i].Mul(&prefix[i-1], xs[i])
 	}
-	var inv gfP
+	var inv gfP2
 	inv.Invert(&prefix[n-1])
 	for i := n - 1; i >= 1; i-- {
-		var xi gfP
+		var xi gfP2
 		xi.Mul(&inv, &prefix[i-1])
 		inv.Mul(&inv, xs[i])
 		*xs[i] = xi
@@ -51,161 +75,244 @@ func batchInvert(xs []*gfP) {
 	*xs[0] = inv
 }
 
-// lineEval computes the sparse Fp12 coefficients of the line through the
-// slot's current T with slope lambda, evaluated at psi(Q):
-//
-//	l = (lambda*Tx - Ty) + (-lambda*Qx) tau + (Qy) tau*omega
-//
-// The constant coefficient c = lambda*Tx - Ty lives in the base field,
-// which mulLine exploits.
-func (s *pairSlot) lineEval(lambda, c *gfP, l01, l11 *gfP2) {
-	c.Mul(lambda, &s.tx)
-	c.Sub(c, &s.ty)
-
-	var negLambda gfP
-	negLambda.Neg(lambda)
-	l01.MulScalar(&s.qx, &negLambda)
-
-	l11.Set(&s.qy)
+// affine2 is an affine twist point.
+type affine2 struct {
+	x, y gfP2
 }
 
-// millerBatch computes f = prod_i f_{r, P_i}(psi(Q_i)) over one shared
-// Miller loop. Slots whose P or Q is infinite contribute the identity.
-func millerBatch(slots []*pairSlot) gfP12 {
-	var f gfP12
-	f.SetOne()
+// millerSlot is the recording state of one G2 point: the point, its
+// negation and Frobenius twists, and the running multiple T.
+type millerSlot struct {
+	slot                 int32
+	q, negQ, piQ, negPi2 affine2
+	t                    affine2
+	dead                 bool // T hit a degenerate step (never for points of G2)
+}
 
-	active := func() []*pairSlot {
-		as := make([]*pairSlot, 0, len(slots))
-		for _, s := range slots {
-			if !s.skip && !s.inf {
-				as = append(as, s)
-			}
-		}
-		return as
-	}
+// millerRecorder records the program of one G2 batch.
+type millerRecorder struct {
+	ops   []lineOp
+	slots []*millerSlot
+	live  []*millerSlot
+	dens  []gfP2
+	inv   []*gfP2
+}
 
-	denoms := make([]*gfP, 0, len(slots))
-	lambdas := make([]gfP, len(slots))
-
-	for i := Order.BitLen() - 2; i >= 0; i-- {
-		f.Square(&f)
-
-		// Doubling step: lambda = 3Tx^2 / (2Ty) for every active slot.
-		as := active()
-		denoms = denoms[:0]
-		dblSlots := as[:0]
-		for _, s := range as {
-			if s.ty.IsZero() {
-				// 2T = infinity: vertical line, erased by the final
-				// exponentiation.
-				s.inf = true
-				continue
-			}
-			idx := len(dblSlots)
-			lambdas[idx].Double(&s.ty)
-			denoms = append(denoms, &lambdas[idx])
-			dblSlots = append(dblSlots, s)
-		}
-		batchInvert(denoms)
-		for j, s := range dblSlots {
-			// lambda = 3 Tx^2 / (2 Ty); lambdas[j] already holds (2Ty)^-1.
-			var num, lambda, t2 gfP
-			num.Square(&s.tx)
-			t2.Double(&num)
-			num.Add(&t2, &num)
-			lambda.Mul(&num, &lambdas[j])
-
-			var c gfP
-			var l01, l11 gfP2
-			s.lineEval(&lambda, &c, &l01, &l11)
-			f.mulLine(&f, &c, &l01, &l11)
-
-			// T = 2T: x3 = lambda^2 - 2Tx, y3 = lambda(Tx - x3) - Ty.
-			var x3, y3, t gfP
-			x3.Square(&lambda)
-			t.Double(&s.tx)
-			x3.Sub(&x3, &t)
-			t.Sub(&s.tx, &x3)
-			y3.Mul(&lambda, &t)
-			y3.Sub(&y3, &s.ty)
-			s.tx.Set(&x3)
-			s.ty.Set(&y3)
-		}
-
-		if Order.Bit(i) == 0 {
+// step records, for every live slot, the line through T and the point
+// chosen by other (T itself for a tangent), and moves T to their sum.
+// A vertical line (T = -other) or a tangent at a 2-torsion point only
+// arises outside the order-r subgroup; such a slot stops contributing.
+func (r *millerRecorder) step(other func(*millerSlot) *affine2) {
+	r.live, r.inv = r.live[:0], r.inv[:0]
+	for _, s := range r.slots {
+		if s.dead {
 			continue
 		}
-
-		// Addition step: T = T + P with lambda = (Py - Ty)/(Px - Tx).
-		as = active()
-		denoms = denoms[:0]
-		addSlots := as[:0]
-		for _, s := range as {
-			var dx gfP
-			dx.Sub(&s.px, &s.tx)
-			if dx.IsZero() {
-				var sumY gfP
-				sumY.Add(&s.ty, &s.py)
-				if sumY.IsZero() {
-					// T = -P: vertical line, erased; T becomes infinity.
-					s.inf = true
-					continue
-				}
-				// T = P: a doubling disguised as an addition. Handle via
-				// the tangent line.
-				var twoY, num, lambda gfP
-				twoY.Double(&s.ty)
-				twoY.Invert(&twoY)
-				num.Square(&s.tx)
-				var tmp gfP
-				tmp.Double(&num)
-				num.Add(&tmp, &num)
-				lambda.Mul(&num, &twoY)
-				var c gfP
-				var l01, l11 gfP2
-				s.lineEval(&lambda, &c, &l01, &l11)
-				f.mulLine(&f, &c, &l01, &l11)
-				var x3, y3, t gfP
-				x3.Square(&lambda)
-				t.Double(&s.tx)
-				x3.Sub(&x3, &t)
-				t.Sub(&s.tx, &x3)
-				y3.Mul(&lambda, &t)
-				y3.Sub(&y3, &s.ty)
-				s.tx.Set(&x3)
-				s.ty.Set(&y3)
-				continue
-			}
-			idx := len(addSlots)
-			lambdas[idx].Set(&dx)
-			denoms = append(denoms, &lambdas[idx])
-			addSlots = append(addSlots, s)
+		d := &r.dens[len(r.live)]
+		if o := other(s); o == nil {
+			d.Double(&s.t.y) // tangent: lambda = 3x^2 / 2y
+		} else {
+			d.Sub(&o.x, &s.t.x) // chord: lambda = (y' - y) / (x' - x)
 		}
-		batchInvert(denoms)
-		for j, s := range addSlots {
-			var num, lambda gfP
-			num.Sub(&s.py, &s.ty)
-			lambda.Mul(&num, &lambdas[j])
+		if d.IsZero() {
+			s.dead = true
+			continue
+		}
+		r.live = append(r.live, s)
+		r.inv = append(r.inv, d)
+	}
+	batchInvert(r.inv)
+	for j, s := range r.live {
+		o := other(s)
+		var lambda, x2 gfP2
+		if o == nil {
+			lambda.Square(&s.t.x)
+			x2.Double(&lambda)
+			lambda.Add(&lambda, &x2)
+			x2.Set(&s.t.x)
+		} else {
+			lambda.Sub(&o.y, &s.t.y)
+			x2.Set(&o.x)
+		}
+		lambda.Mul(&lambda, r.inv[j])
 
-			var c gfP
-			var l01, l11 gfP2
-			s.lineEval(&lambda, &c, &l01, &l11)
-			f.mulLine(&f, &c, &l01, &l11)
+		// Record the raw line: a = c = lambda Tx - Ty, b = lambda.
+		op := lineOp{slot: s.slot}
+		op.a.Mul(&lambda, &s.t.x)
+		op.a.Sub(&op.a, &s.t.y)
+		op.b.Set(&lambda)
+		r.ops = append(r.ops, op)
 
-			// T = T + P.
-			var x3, y3, t gfP
-			x3.Square(&lambda)
-			t.Add(&s.tx, &s.px)
-			x3.Sub(&x3, &t)
-			t.Sub(&s.tx, &x3)
-			y3.Mul(&lambda, &t)
-			y3.Sub(&y3, &s.ty)
-			s.tx.Set(&x3)
-			s.ty.Set(&y3)
+		// T = T + other: x3 = lambda^2 - Tx - x2, y3 = lambda(Tx - x3) - Ty.
+		var x3, y3 gfP2
+		x3.Square(&lambda)
+		x3.Sub(&x3, &s.t.x)
+		x3.Sub(&x3, &x2)
+		y3.Sub(&s.t.x, &x3)
+		y3.Mul(&y3, &lambda)
+		y3.Sub(&y3, &s.t.y)
+		s.t.x, s.t.y = x3, y3
+	}
+}
+
+// normalizeLines divides every recorded line by its Fp2 constant c,
+// batching the inversions, so that a = 1/c and b = -lambda/c. Lines
+// with c == 0 keep a = 1, b = -lambda and no omega^3 term.
+func normalizeLines(ops []lineOp) {
+	invs := make([]*gfP2, 0, len(ops))
+	for i := range ops {
+		if op := &ops[i]; op.slot >= 0 && !op.a.IsZero() {
+			invs = append(invs, &op.a)
+		}
+	}
+	batchInvert(invs)
+	for i := range ops {
+		op := &ops[i]
+		if op.slot < 0 {
+			continue
+		}
+		if op.a.IsZero() {
+			op.a.SetOne()
+		} else {
+			op.monic = true
+			op.b.Mul(&op.b, &op.a)
+		}
+		op.b.Neg(&op.b)
+	}
+}
+
+// recordMiller records the optimal ate Miller program of a G2 batch.
+// Slots at infinity record nothing and so contribute the identity.
+func recordMiller(qs []*twistPoint) *PairingPrecomp {
+	n := len(qs)
+	r := &millerRecorder{
+		dens: make([]gfP2, n),
+		inv:  make([]*gfP2, 0, n),
+		live: make([]*millerSlot, 0, n),
+	}
+	for i, q := range qs {
+		if q.IsInfinity() {
+			continue
+		}
+		var a, pi twistPoint
+		a.Set(q)
+		a.MakeAffine()
+		s := &millerSlot{slot: int32(i)}
+		s.q = affine2{a.x, a.y}
+		s.negQ.x = a.x
+		s.negQ.y.Neg(&a.y)
+		pi.Frobenius(&a)
+		s.piQ = affine2{pi.x, pi.y}
+		pi.Frobenius(&pi)
+		s.negPi2.x = pi.x
+		s.negPi2.y.Neg(&pi.y)
+		s.t = s.q
+		r.slots = append(r.slots, s)
+	}
+
+	tangent := func(*millerSlot) *affine2 { return nil }
+	// 65 squarings plus 88 lines per slot.
+	r.ops = make([]lineOp, 0, len(ateLoopNAF)*(1+n)+22*n)
+	for i := len(ateLoopNAF) - 2; i >= 0; i-- {
+		r.ops = append(r.ops, lineOp{slot: -1})
+		r.step(tangent)
+		switch ateLoopNAF[i] {
+		case 1:
+			r.step(func(s *millerSlot) *affine2 { return &s.q })
+		case -1:
+			r.step(func(s *millerSlot) *affine2 { return &s.negQ })
+		}
+	}
+	r.step(func(s *millerSlot) *affine2 { return &s.piQ })
+	r.step(func(s *millerSlot) *affine2 { return &s.negPi2 })
+	normalizeLines(r.ops)
+	return &PairingPrecomp{n: n, ops: r.ops}
+}
+
+// miller evaluates the recorded program at a batch of G1 points. Slots
+// whose P is infinite contribute the identity. Accumulator squarings
+// are elided while the accumulator is still one.
+func (pc *PairingPrecomp) miller(ps []*curvePoint) gfP12 {
+	xs := make([]gfP, pc.n)
+	ys := make([]gfP, pc.n)
+	skip := make([]bool, pc.n)
+	for i, p := range ps {
+		if p.IsInfinity() {
+			skip[i] = true
+			continue
+		}
+		var a curvePoint
+		a.Set(p)
+		a.MakeAffine()
+		xs[i], ys[i] = a.x, a.y
+	}
+
+	var f gfP12
+	f.SetOne()
+	one := true
+	var l0, l1 gfP2
+	for i := range pc.ops {
+		op := &pc.ops[i]
+		if op.slot < 0 {
+			if !one {
+				f.Square(&f)
+			}
+			continue
+		}
+		if skip[op.slot] {
+			continue
+		}
+		l0.MulScalar(&op.a, &ys[op.slot])
+		l1.MulScalar(&op.b, &xs[op.slot])
+		switch {
+		case one:
+			// f = 1 * l: install the sparse line directly.
+			f.SetZero()
+			f.c0.b0.Set(&l0)
+			f.c1.b0.Set(&l1)
+			if op.monic {
+				f.c1.b1.SetOne()
+			}
+			one = false
+		case op.monic:
+			f.mulLine(&f, &l0, &l1)
+		default:
+			var l gfP12
+			l.c0.b0.Set(&l0)
+			l.c1.b0.Set(&l1)
+			f.Mul(&f, &l)
 		}
 	}
 	return f
+}
+
+// PrecomputePairBatch records the Miller program of a fixed batch of G2
+// points, to be evaluated against many G1 batches with
+// PairBatchPrecomputed. The returned handle is immutable and safe for
+// concurrent use.
+func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
+	cqs := make([]*twistPoint, len(qs))
+	for i, q := range qs {
+		cqs[i] = &q.p
+	}
+	return recordMiller(cqs)
+}
+
+// PairBatchPrecomputed computes prod_i e(ps[i], Q_i) for the G2 batch
+// recorded in pc, equal to PairBatch(ps, qs) for the original qs. It
+// panics if len(ps) differs from the recorded batch size.
+func PairBatchPrecomputed(pc *PairingPrecomp, ps []*G1) *GT {
+	if len(ps) != pc.n {
+		panic("bn256: mismatched pairing batch")
+	}
+	cps := make([]*curvePoint, len(ps))
+	for i, p := range ps {
+		cps[i] = &p.p
+	}
+	f := pc.miller(cps)
+	gt := &GT{}
+	gt.p = finalExponentiation(&f)
+	return gt
 }
 
 // finalExponentiation raises f to (p^12-1)/r, mapping Miller-loop output
@@ -294,48 +401,4 @@ func hardExponentiation(a *gfP12) gfP12 {
 	t0.cyclotomicSquare(&t0)
 	t0.Mul(&t0, &t1)
 	return t0
-}
-
-// newPairSlot prepares Miller loop state for e(P, Q), normalizing both
-// points to affine coordinates.
-func newPairSlot(p *curvePoint, q *twistPoint) *pairSlot {
-	s := &pairSlot{}
-	if p.IsInfinity() || q.IsInfinity() {
-		s.skip = true
-		return s
-	}
-	var pa curvePoint
-	pa.Set(p)
-	pa.MakeAffine()
-	var qa twistPoint
-	qa.Set(q)
-	qa.MakeAffine()
-	s.px.Set(&pa.x)
-	s.py.Set(&pa.y)
-	s.qx.Set(&qa.x)
-	s.qy.Set(&qa.y)
-	s.tx.Set(&pa.x)
-	s.ty.Set(&pa.y)
-	return s
-}
-
-// pair computes the reduced Tate pairing of a single point pair.
-func pair(p *curvePoint, q *twistPoint) gfP12 {
-	slots := []*pairSlot{newPairSlot(p, q)}
-	f := millerBatch(slots)
-	return finalExponentiation(&f)
-}
-
-// pairBatch computes prod_i e(P_i, Q_i) with one shared Miller loop and a
-// single final exponentiation.
-func pairBatch(ps []*curvePoint, qs []*twistPoint) gfP12 {
-	if len(ps) != len(qs) {
-		panic("bn256: mismatched pairing batch")
-	}
-	slots := make([]*pairSlot, len(ps))
-	for i := range ps {
-		slots[i] = newPairSlot(ps[i], qs[i])
-	}
-	f := millerBatch(slots)
-	return finalExponentiation(&f)
 }

@@ -25,34 +25,40 @@ func randPairBatch(t *testing.T, n int) ([]*G1, []*G2) {
 }
 
 // TestPairBatchPrecomputedMatchesPairBatch pins the fixed-argument
-// evaluation against the direct batched pairing over a range of batch
-// sizes: the recorded Miller program must reproduce millerBatch's
-// output exactly.
+// evaluation against the direct batched pairing and against the
+// product of single pairings over a range of batch sizes.
 func TestPairBatchPrecomputedMatchesPairBatch(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		ps, qs := randPairBatch(t, n)
-		pc := PrecomputePairBatch(ps)
+		pc := PrecomputePairBatch(qs)
 		if pc.Size() != n {
 			t.Fatalf("Size() = %d, want %d", pc.Size(), n)
 		}
 		want := PairBatch(ps, qs)
-		got := PairBatchPrecomputed(pc, qs)
+		got := PairBatchPrecomputed(pc, ps)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatalf("n=%d: precomputed pairing disagrees with PairBatch", n)
+		}
+		prod := new(GT).SetOne()
+		for i := range ps {
+			prod.Mul(prod, Pair(ps[i], qs[i]))
+		}
+		if !got.Equal(prod) {
+			t.Fatalf("n=%d: precomputed pairing disagrees with the product of pairings", n)
 		}
 	}
 }
 
 // TestPairBatchPrecomputedReuse checks that one handle evaluated
-// against several distinct G2 batches matches PairBatch on each.
+// against several distinct G1 batches matches PairBatch on each.
 func TestPairBatchPrecomputedReuse(t *testing.T) {
 	const n = 4
-	ps, _ := randPairBatch(t, n)
-	pc := PrecomputePairBatch(ps)
+	_, qs := randPairBatch(t, n)
+	pc := PrecomputePairBatch(qs)
 	for round := 0; round < 3; round++ {
-		_, qs := randPairBatch(t, n)
+		ps, _ := randPairBatch(t, n)
 		want := PairBatch(ps, qs)
-		got := PairBatchPrecomputed(pc, qs)
+		got := PairBatchPrecomputed(pc, ps)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatalf("round %d: precomputed pairing diverged on reuse", round)
 		}
@@ -72,6 +78,9 @@ func TestPairBatchPrecomputedEdgeCases(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		pc := PrecomputePairBatch(nil)
 		got := PairBatchPrecomputed(pc, nil)
+		if !got.IsOne() {
+			t.Fatal("empty batch is not the identity")
+		}
 		want := PairBatch(nil, nil)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatal("empty batch disagrees with PairBatch")
@@ -80,8 +89,8 @@ func TestPairBatchPrecomputedEdgeCases(t *testing.T) {
 
 	t.Run("single", func(t *testing.T) {
 		ps, qs := randPairBatch(t, 1)
-		pc := PrecomputePairBatch(ps)
-		got := PairBatchPrecomputed(pc, qs)
+		pc := PrecomputePairBatch(qs)
+		got := PairBatchPrecomputed(pc, ps)
 		want := PairBatch(ps, qs)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatal("single-slot batch disagrees with PairBatch")
@@ -91,65 +100,63 @@ func TestPairBatchPrecomputedEdgeCases(t *testing.T) {
 	t.Run("g1-infinity", func(t *testing.T) {
 		ps, qs := randPairBatch(t, 3)
 		ps[1] = infG1
-		pc := PrecomputePairBatch(ps)
-		got := PairBatchPrecomputed(pc, qs)
-		want := PairBatch(ps, qs)
+		pc := PrecomputePairBatch(qs)
+		got := PairBatchPrecomputed(pc, ps)
+		want := PairBatch([]*G1{ps[0], ps[2]}, []*G2{qs[0], qs[2]})
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatal("G1 infinity slot disagrees with PairBatch")
+			t.Fatal("G1 infinity slot does not contribute the identity")
 		}
 	})
 
 	t.Run("g2-infinity", func(t *testing.T) {
 		ps, qs := randPairBatch(t, 3)
 		qs[2] = infG2
-		pc := PrecomputePairBatch(ps)
-		got := PairBatchPrecomputed(pc, qs)
-		want := PairBatch(ps, qs)
+		pc := PrecomputePairBatch(qs)
+		got := PairBatchPrecomputed(pc, ps)
+		want := PairBatch(ps[:2], qs[:2])
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatal("G2 infinity slot disagrees with PairBatch")
+			t.Fatal("G2 infinity slot does not contribute the identity")
 		}
 	})
 
 	t.Run("all-infinity", func(t *testing.T) {
 		ps := []*G1{infG1, infG1}
 		qs := []*G2{infG2, infG2}
-		pc := PrecomputePairBatch(ps)
-		got := PairBatchPrecomputed(pc, qs)
-		want := PairBatch(ps, qs)
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatal("all-infinity batch disagrees with PairBatch")
+		pc := PrecomputePairBatch(qs)
+		if got := PairBatchPrecomputed(pc, ps); !got.IsOne() {
+			t.Fatal("all-infinity batch is not the identity")
 		}
 	})
 
 	t.Run("mismatched-length-panics", func(t *testing.T) {
 		ps, qs := randPairBatch(t, 2)
-		pc := PrecomputePairBatch(ps)
+		pc := PrecomputePairBatch(qs)
 		defer func() {
 			if recover() == nil {
 				t.Fatal("no panic on mismatched batch length")
 			}
 		}()
-		PairBatchPrecomputed(pc, qs[:1])
+		PairBatchPrecomputed(pc, ps[:1])
 	})
 }
 
 // TestPairingPrecompConcurrent shares one handle across goroutines,
-// each evaluating its own G2 batch; under -race this doubles as the
+// each evaluating its own G1 batch; under -race this doubles as the
 // data-race check for the shared read-only program.
 func TestPairingPrecompConcurrent(t *testing.T) {
 	const n = 3
 	const workers = 8
-	ps, _ := randPairBatch(t, n)
-	pc := PrecomputePairBatch(ps)
+	_, qs := randPairBatch(t, n)
+	pc := PrecomputePairBatch(qs)
 
 	type job struct {
-		qs   []*G2
+		ps   []*G1
 		want []byte
 	}
 	jobs := make([]job, workers)
 	for i := range jobs {
-		_, qs := randPairBatch(t, n)
-		jobs[i] = job{qs: qs, want: PairBatch(ps, qs).Marshal()}
+		ps, _ := randPairBatch(t, n)
+		jobs[i] = job{ps: ps, want: PairBatch(ps, qs).Marshal()}
 	}
 
 	var wg sync.WaitGroup
@@ -158,7 +165,7 @@ func TestPairingPrecompConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got := PairBatchPrecomputed(pc, jobs[i].qs)
+			got := PairBatchPrecomputed(pc, jobs[i].ps)
 			if !bytes.Equal(got.Marshal(), jobs[i].want) {
 				bad[i] = true
 			}
@@ -172,27 +179,58 @@ func TestPairingPrecompConcurrent(t *testing.T) {
 	}
 }
 
-// TestPrecomputeBilinearity checks e(kG, Q) = e(G, Q)^k through the
-// precomputed path.
+// TestPrecomputeBilinearity checks e(P, kQ) = e(P, Q)^k and
+// e(kP, Q) = e(P, Q)^k through the precomputed path.
 func TestPrecomputeBilinearity(t *testing.T) {
-	k, p, err := RandomG1(rand.Reader)
+	k, q, err := RandomG2(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, q, err := RandomG2(rand.Reader)
+	_, p, err := RandomG1(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pc := PrecomputePairBatch([]*G1{p})
-	lhs := PairBatchPrecomputed(pc, []*G2{q})
+	pc := PrecomputePairBatch([]*G2{q})
+	lhs := PairBatchPrecomputed(pc, []*G1{p})
 
-	g := new(G1).ScalarBaseMult(big.NewInt(1))
-	pcG := PrecomputePairBatch([]*G1{g})
-	rhs := PairBatchPrecomputed(pcG, []*G2{q})
-	rhs = new(GT).Exp(rhs, k)
-
+	g := new(G2).ScalarBaseMult(big.NewInt(1))
+	pcG := PrecomputePairBatch([]*G2{g})
+	rhs := new(GT).Exp(PairBatchPrecomputed(pcG, []*G1{p}), k)
 	if !bytes.Equal(lhs.Marshal(), rhs.Marshal()) {
-		t.Fatal("precomputed pairing is not bilinear")
+		t.Fatal("precomputed pairing is not bilinear in G2")
+	}
+
+	kp := new(G1).ScalarMult(p, k)
+	if !PairBatchPrecomputed(pcG, []*G1{kp}).Equal(rhs) {
+		t.Fatal("precomputed pairing is not bilinear in G1")
+	}
+}
+
+// TestMillerProgramOpCount is a machine-independent cost counter: the
+// recorded program for a d=5 batch (the SJ.Dec token size for m=1, t=1)
+// must stay an optimal ate loop — one squaring per NAF digit of 6u+2
+// below the top, and per slot 65 doublings, 21 NAF additions and two
+// Frobenius lines.
+func TestMillerProgramOpCount(t *testing.T) {
+	if len(ateLoopNAF) != 66 {
+		t.Fatalf("NAF(6u+2) has %d digits, want 66", len(ateLoopNAF))
+	}
+	_, qs := randPairBatch(t, 5)
+	pc := PrecomputePairBatch(qs)
+	var squarings, lines int
+	for _, op := range pc.ops {
+		if op.slot < 0 {
+			squarings++
+		} else {
+			lines++
+		}
+	}
+	t.Logf("d=5 program: %d squarings, %d lines", squarings, lines)
+	if squarings > 66 || lines > 450 {
+		t.Fatalf("d=5 program has %d squarings and %d lines, want <= 66 and <= 450", squarings, lines)
+	}
+	if want := 5 * (65 + 21 + 2); lines != want {
+		t.Fatalf("d=5 program has %d lines, want %d", lines, want)
 	}
 }

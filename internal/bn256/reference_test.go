@@ -131,3 +131,116 @@ func TestTwistScalarMultAgainstRepeatedAddition(t *testing.T) {
 		}
 	}
 }
+
+// A textbook optimal ate pairing for cross-checking the recorded
+// Miller program: the G2 point is untwisted into E(Fp12), every line is
+// evaluated unnormalized with an Fp12 inversion per slope, and pi is
+// the plain coordinate-wise p-power Frobenius.
+
+type point12 struct {
+	x, y gfP12
+}
+
+func untwist(q *twistPoint) point12 {
+	var a twistPoint
+	a.Set(q)
+	a.MakeAffine()
+	var r point12
+	r.x.c0.b1.Set(&a.x) // omega^2 x
+	r.y.c1.b1.Set(&a.y) // omega^3 y
+	return r
+}
+
+// refLine evaluates at p the line through a and b (the tangent when
+// b == nil) and returns it with a + b.
+func refLine(a, b *point12, p *point12) (gfP12, point12) {
+	var lambda, den, t gfP12
+	x2 := &a.x
+	if b == nil {
+		lambda.Square(&a.x)
+		t.Add(&lambda, &lambda)
+		lambda.Add(&lambda, &t)
+		den.Add(&a.y, &a.y)
+	} else {
+		x2 = &b.x
+		lambda.Sub(&b.y, &a.y)
+		den.Sub(&b.x, &a.x)
+	}
+	den.Invert(&den)
+	lambda.Mul(&lambda, &den)
+
+	var l gfP12
+	t.Sub(&p.x, &a.x)
+	t.Mul(&t, &lambda)
+	l.Sub(&p.y, &a.y)
+	l.Sub(&l, &t)
+
+	var sum point12
+	sum.x.Square(&lambda)
+	sum.x.Sub(&sum.x, &a.x)
+	sum.x.Sub(&sum.x, x2)
+	sum.y.Sub(&a.x, &sum.x)
+	sum.y.Mul(&sum.y, &lambda)
+	sum.y.Sub(&sum.y, &a.y)
+	return l, sum
+}
+
+func refOptimalAte(p *curvePoint, q *twistPoint) gfP12 {
+	var pa curvePoint
+	pa.Set(p)
+	pa.MakeAffine()
+	var p12 point12
+	p12.x.c0.b0.a0.Set(&pa.x)
+	p12.y.c0.b0.a0.Set(&pa.y)
+
+	q12 := untwist(q)
+	negQ := q12
+	negQ.y.Sub(new(gfP12), &negQ.y)
+	tp := q12
+	var f, l gfP12
+	f.SetOne()
+	for i := len(ateLoopNAF) - 2; i >= 0; i-- {
+		f.Square(&f)
+		l, tp = refLine(&tp, nil, &p12)
+		f.Mul(&f, &l)
+		switch ateLoopNAF[i] {
+		case 1:
+			l, tp = refLine(&tp, &q12, &p12)
+			f.Mul(&f, &l)
+		case -1:
+			l, tp = refLine(&tp, &negQ, &p12)
+			f.Mul(&f, &l)
+		}
+	}
+	var q1, q2 point12
+	q1.x.Frobenius1(&q12.x)
+	q1.y.Frobenius1(&q12.y)
+	q2.x.Frobenius2(&q12.x)
+	q2.y.Frobenius2(&q12.y)
+	q2.y.Sub(new(gfP12), &q2.y)
+	l, tp = refLine(&tp, &q1, &p12)
+	f.Mul(&f, &l)
+	l, _ = refLine(&tp, &q2, &p12)
+	f.Mul(&f, &l)
+	return finalExponentiation(&f)
+}
+
+// TestOptimalAteAgainstTextbook pins Pair, whose lines are recorded on
+// the twist and normalized by their Fp2 constants, to the textbook
+// loop above on random inputs.
+func TestOptimalAteAgainstTextbook(t *testing.T) {
+	for i := 0; i < 3; i++ {
+		_, p, err := RandomG1(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, q, err := RandomG2(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refOptimalAte(&p.p, &q.p)
+		if got := Pair(p, q); !got.p.Equal(&want) {
+			t.Fatalf("iteration %d: Pair disagrees with the textbook optimal ate pairing", i)
+		}
+	}
+}

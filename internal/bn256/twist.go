@@ -218,6 +218,44 @@ func (t *twistPoint) Neg(a *twistPoint) *twistPoint {
 	return t
 }
 
+// Frobenius sets t = psi(a) and returns t, where psi = untwist^-1 o
+// pi_p o untwist is the p-power Frobenius carried over to the twist.
+// The untwist (x, y) -> (omega^2 x, omega^3 y) and omega^p =
+// xi^((p-1)/6) omega give psi(x, y) = (xi^((p-1)/3) x^p,
+// xi^((p-1)/2) y^p), with x^p the Fp2 conjugate; the two constants are
+// frob1Consts[2] and frob1Consts[3]. In Jacobian coordinates Z is
+// conjugated too. On G2, psi acts as multiplication by p.
+func (t *twistPoint) Frobenius(a *twistPoint) *twistPoint {
+	t.x.Conjugate(&a.x)
+	t.x.Mul(&t.x, &frob1Consts[2])
+	t.y.Conjugate(&a.y)
+	t.y.Mul(&t.y, &frob1Consts[3])
+	t.z.Conjugate(&a.z)
+	return t
+}
+
+// inG2 reports whether a twist point lies in the order-r subgroup,
+// using the BN test of El Housni, Guillevic and Piellard ("Co-factor
+// clearing and subgroup membership testing on pairing-friendly
+// curves", ePrint 2022/348, section 5.1):
+//
+//	[u+1]Q + psi([u]Q) + psi^2([u]Q) == psi^3([2u]Q).
+//
+// One multiplication by the 63-bit u replaces the 254-bit [r]Q.
+func (t *twistPoint) inG2() bool {
+	var uq, lhs, rhs twistPoint
+	uq.Mul(t, u)
+	lhs.Add(&uq, t)    // [u+1]Q
+	rhs.Frobenius(&uq) // psi([u]Q)
+	lhs.Add(&lhs, &rhs)
+	rhs.Frobenius(&rhs) // psi^2([u]Q)
+	lhs.Add(&lhs, &rhs)
+	rhs.Frobenius(&rhs) // psi^3([u]Q)
+	rhs.Double(&rhs)
+	rhs.Neg(&rhs)
+	return rhs.Add(&lhs, &rhs).IsInfinity()
+}
+
 // Mul sets t = k*a using double-and-add and returns t.
 func (t *twistPoint) Mul(a *twistPoint, k *big.Int) *twistPoint {
 	var acc twistPoint

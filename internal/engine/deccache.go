@@ -12,7 +12,7 @@ import (
 // This file implements the decrypt-result cache. SJ.Dec is
 // deterministic in (token, ciphertext): re-running a query token over
 // an unchanged table recomputes exactly the same D values, and at
-// ~16ms of pairing work per row that recomputation dominates every
+// ~4.5ms of pairing work per row that recomputation dominates every
 // repeated query. The cache memoizes per-row D values under the key
 // (table name, table version, SHA-256 of the token bytes), so a warm
 // re-execution skips the pairing wall entirely.

@@ -2,8 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"crypto/rand"
+	"encoding/gob"
+	"strings"
 	"testing"
 
+	"repro/internal/bn256"
 	"repro/internal/securejoin"
 )
 
@@ -114,5 +118,29 @@ func TestLoadTableRejectsCorruption(t *testing.T) {
 	}
 	if _, err := LoadTable(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+}
+
+// TestLoadTableRejectsPreSwapCiphertext: a table file whose row
+// ciphertexts hold G2 elements, as files written before ciphertexts
+// moved to G1 do, must fail to load with an error naming the retired
+// encoding rather than load rows that would never match.
+func TestLoadTableRejectsPreSwapCiphertext(t *testing.T) {
+	old := []byte{0, 0, 0, 5}
+	for i := 0; i < 5; i++ {
+		_, e, err := bn256.RandomG2(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, e.Marshal()...)
+	}
+	var buf bytes.Buffer
+	f := tableFile{Name: "Old", Rows: []tableFileRow{{Join: old, Payload: []byte("p")}}}
+	if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadTable(&buf)
+	if err == nil || !strings.Contains(err.Error(), "retired encoding") {
+		t.Fatalf("LoadTable of a pre-swap table: err = %v, want the retired-encoding error", err)
 	}
 }

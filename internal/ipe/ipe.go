@@ -133,18 +133,26 @@ func Decrypt(sk *SecretKey, ct *Ciphertext, s []int64) (int64, error) {
 }
 
 // Token is a modified-scheme key: the single vector component
-// Tk = g1^(v B). The paper calls this the query's "unlocking token".
+// Tk = g2^(v B). The paper calls this the query's "unlocking token".
+//
+// The modified scheme puts tokens in G2 and ciphertexts in G1, the
+// mirror image of the full scheme above. The optimal ate Miller loop
+// walks the G2 argument, so a token's loop can be recorded once and
+// replayed at every row (PrecomputeToken), and rows pay for the cheaper
+// and smaller G1 group. The security argument is unaffected: it rests
+// on SXDH, which assumes DDH in both G1 and G2, so it holds with the
+// roles of the two groups exchanged.
 type Token struct {
-	Elems []*bn256.G1
-}
-
-// CiphertextM is a modified-scheme ciphertext: the single vector
-// component C = g2^(w B*).
-type CiphertextM struct {
 	Elems []*bn256.G2
 }
 
-// KeyGenModified computes Tk = g1^(v B) with alpha = 1; per Section 4.2
+// CiphertextM is a modified-scheme ciphertext: the single vector
+// component C = g1^(w B*).
+type CiphertextM struct {
+	Elems []*bn256.G1
+}
+
+// KeyGenModified computes Tk = g2^(v B) with alpha = 1; per Section 4.2
 // the randomness that alpha provided lives inside v itself (the delta
 // slot appended by the Secure Join token builder).
 func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
@@ -152,28 +160,28 @@ func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
 		return nil, fmt.Errorf("ipe: token vector has length %d, want %d", len(v), msk.N)
 	}
 	vb := msk.B.MulVec(v)
-	tk := &Token{Elems: make([]*bn256.G1, msk.N)}
+	tk := &Token{Elems: make([]*bn256.G2, msk.N)}
 	for i, c := range vb {
-		tk.Elems[i] = new(bn256.G1).ScalarBaseMult(c.Big())
+		tk.Elems[i] = new(bn256.G2).ScalarBaseMult(c.Big())
 	}
 	return tk, nil
 }
 
-// EncryptModified computes C = g2^(w B*) with beta = 1; the gamma slots
+// EncryptModified computes C = g1^(w B*) with beta = 1; the gamma slots
 // inside w carry the randomness.
 func (msk *MasterKey) EncryptModified(w zq.Vector) (*CiphertextM, error) {
 	if len(w) != msk.N {
 		return nil, fmt.Errorf("ipe: plaintext vector has length %d, want %d", len(w), msk.N)
 	}
 	wb := msk.BStar.MulVec(w)
-	ct := &CiphertextM{Elems: make([]*bn256.G2, msk.N)}
+	ct := &CiphertextM{Elems: make([]*bn256.G1, msk.N)}
 	for i, c := range wb {
-		ct.Elems[i] = new(bn256.G2).ScalarBaseMult(c.Big())
+		ct.Elems[i] = new(bn256.G1).ScalarBaseMult(c.Big())
 	}
 	return ct, nil
 }
 
-// DecryptModified computes D = e(Tk, C) = e(g1,g2)^(det(B) <v, w>) using
+// DecryptModified computes D = e(C, Tk) = e(g1,g2)^(det(B) <v, w>) using
 // one batched multi-pairing. Secure Join compares these D values for
 // equality; their discrete logs are never extracted.
 func DecryptModified(tk *Token, ct *CiphertextM) (*bn256.GT, error) {
@@ -181,13 +189,13 @@ func DecryptModified(tk *Token, ct *CiphertextM) (*bn256.GT, error) {
 		return nil, fmt.Errorf("ipe: token dimension %d does not match ciphertext dimension %d",
 			len(tk.Elems), len(ct.Elems))
 	}
-	return bn256.PairBatch(tk.Elems, ct.Elems), nil
+	return bn256.PairBatch(ct.Elems, tk.Elems), nil
 }
 
-// TokenPrecomp is a token with its G1-side Miller program recorded
-// once, amortizing the fixed-argument pairing work across every
-// ciphertext the token is paired with. The handle is immutable and
-// safe for concurrent use by multiple goroutines.
+// TokenPrecomp is a token with its Miller program recorded once,
+// amortizing the fixed-argument pairing work across every ciphertext
+// the token is paired with. The handle is immutable and safe for
+// concurrent use by multiple goroutines.
 type TokenPrecomp struct {
 	n  int
 	pc *bn256.PairingPrecomp
@@ -205,7 +213,7 @@ func (tp *TokenPrecomp) Dim() int { return tp.n }
 
 // Decrypt computes the same D value DecryptModified would for the
 // precomputed token, evaluating the recorded Miller program at the
-// ciphertext's G2 elements.
+// ciphertext's G1 elements.
 func (tp *TokenPrecomp) Decrypt(ct *CiphertextM) (*bn256.GT, error) {
 	if tp.n != len(ct.Elems) {
 		return nil, fmt.Errorf("ipe: token dimension %d does not match ciphertext dimension %d",

@@ -90,7 +90,7 @@ type Row struct {
 	Attrs     [][]byte
 }
 
-// RowCiphertext is the SJ.Enc output for one row: C = g2^(w B*).
+// RowCiphertext is the SJ.Enc output for one row: C = g1^(w B*).
 type RowCiphertext struct {
 	C *ipe.CiphertextM
 }
@@ -176,7 +176,7 @@ func (sel Selection) validate(p Params) error {
 	return nil
 }
 
-// Token is the SJ.TokenGen output for one table: Tk = g1^(v B).
+// Token is the SJ.TokenGen output for one table: Tk = g2^(v B).
 type Token struct {
 	Tk *ipe.Token
 }
@@ -267,7 +267,7 @@ func (s *Scheme) TokenGen(k zq.Scalar, sel Selection) (*Token, error) {
 // strings) correspond to equal GT elements, so they can key a hash join.
 type DValue []byte
 
-// Decrypt runs SJ.Dec on one row: D = e(Tk, C), computed with a single
+// Decrypt runs SJ.Dec on one row: D = e(C, Tk), computed with a single
 // batched multi-pairing over the d vector slots.
 func Decrypt(tk *Token, ct *RowCiphertext) (DValue, error) {
 	gt, err := ipe.DecryptModified(tk.Tk, ct.C)
@@ -277,18 +277,18 @@ func Decrypt(tk *Token, ct *RowCiphertext) (DValue, error) {
 	return DValue(gt.Marshal()), nil
 }
 
-// TokenPrecomp is a token whose G1-side Miller program has been
-// recorded once. A query token is paired against every row of a
-// table, so the per-step inversions and point-chain updates of the
-// Miller loop — which depend only on the token — are paid once here
-// instead of once per row. The handle is immutable and safe for
-// concurrent use.
+// TokenPrecomp is a token whose Miller program has been recorded once.
+// A query token is paired against every row of a table, and the
+// optimal ate Miller loop walks the token's G2 points, so the per-step
+// inversions, point-chain updates and line slopes — which depend only
+// on the token — are paid once here instead of once per row. The
+// handle is immutable and safe for concurrent use.
 type TokenPrecomp struct {
 	tp *ipe.TokenPrecomp
 }
 
 // Precompute records the token's fixed-argument pairing program. The
-// cost is comparable to decrypting a single row.
+// cost is below that of decrypting a single row.
 func (t *Token) Precompute() *TokenPrecomp {
 	return &TokenPrecomp{tp: ipe.PrecomputeToken(t.Tk)}
 }

@@ -210,10 +210,9 @@ func (s *Server) runTask(t joinTask) {
 	started := time.Now()
 	defer t.ss.reqs.Done()
 	defer t.ss.releaseJoin()
-	if err := t.ss.handleJoin(t.id, t.jr); err != nil {
+	if err := t.ss.handleJoin(t.id, t.jr, started); err != nil {
 		s.logf("request %d: writing response: %v", t.id, err)
 	}
-	s.met.ReqSeconds.With("join").Observe(time.Since(started).Seconds())
 }
 
 // abortTask disposes of a task that will never run because the server

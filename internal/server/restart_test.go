@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"crypto/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bn256"
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/securejoin"
@@ -258,5 +261,48 @@ func TestAbandonedUploadLeavesNoResidue(t *testing.T) {
 	}
 	if d := st.Damaged(); len(d) != 0 {
 		t.Fatalf("recovery after abandoned upload reported damage: %v", d)
+	}
+}
+
+// TestUploadRejectsPreSwapCiphertext: an upload chunk carrying a row
+// ciphertext of G2 elements (the layout before ciphertexts moved to G1)
+// is refused with an error naming the retired encoding, and no table
+// appears.
+func TestUploadRejectsPreSwapCiphertext(t *testing.T) {
+	addr := startServer(t)
+	old := []byte{0, 0, 0, 5}
+	for i := 0; i < 5; i++ {
+		_, e, err := bn256.RandomG2(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, e.Marshal()...)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wc := wire.NewConn(conn)
+	if err := wire.ClientHandshake(wc); err != nil {
+		t.Fatal(err)
+	}
+	req := &wire.Request{ID: 1, Upload: &wire.UploadRequest{
+		Table:  "Old",
+		Rows:   []wire.UploadRow{{JoinCiphertext: old, Payload: []byte("p")}},
+		Commit: true,
+	}}
+	if err := wc.Send(req); err != nil {
+		t.Fatal(err)
+	}
+	var f wire.Frame
+	if err := wc.Recv(&f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Ok || !strings.Contains(f.Err, "retired encoding") {
+		t.Fatalf("upload response %+v, want the retired-encoding error", f)
+	}
+	if _, err := startServerEngineTable(t, addr, "Old"); err == nil {
+		t.Fatal("rejected upload became a visible table")
 	}
 }

@@ -1,5 +1,5 @@
 // Package server implements the DBMS-provider side of the
-// database-as-a-service model over TCP, speaking the wire v2 protocol:
+// database-as-a-service model over TCP, speaking the wire v3 protocol:
 // a version handshake followed by length-prefixed gob frames. Every
 // request on a connection is dispatched on its own goroutine keyed by
 // the client-chosen request ID, so clients can pipeline uploads and
@@ -694,15 +694,23 @@ func (ss *session) sendRowBatches(id uint64, rows []wire.JoinedRow) (int, error)
 	return sent, nil
 }
 
-func (ss *session) handleJoin(id uint64, jr *wire.JoinRequest) error {
+func (ss *session) handleJoin(id uint64, jr *wire.JoinRequest, started time.Time) error {
 	defer ss.clearCancel(id)
+	// Every terminal frame goes out through end, which observes the
+	// request latency first: a client that has its answer also finds
+	// the join counted on /metrics.
+	end := func(f *wire.Frame) error {
+		ss.srv.met.ReqSeconds.With("join").Observe(time.Since(started).Seconds())
+		return ss.send(f)
+	}
+	fail := func(err error) error { return end(&wire.Frame{ID: id, Err: err.Error()}) }
 	spec, err := ss.srv.joinSpecFrom(jr)
 	if err != nil {
-		return ss.sendErr(id, err)
+		return fail(err)
 	}
 	stream, err := ss.srv.eng.OpenJoin(jr.TableA, jr.TableB, spec)
 	if err != nil {
-		return ss.sendErr(id, err)
+		return fail(err)
 	}
 	// Whatever ends this request — drain, cancel, engine error, dead
 	// peer — the leakage observed so far must reach the audit log, and
@@ -716,7 +724,7 @@ func (ss *session) handleJoin(id uint64, jr *wire.JoinRequest) error {
 		select {
 		case <-cancelled:
 			ss.srv.logf("join %q x %q cancelled after %d rows", jr.TableA, jr.TableB, sent)
-			return ss.sendErr(id, errors.New("join cancelled"))
+			return fail(errors.New("join cancelled"))
 		default:
 		}
 		rows, err := stream.Next()
@@ -724,7 +732,7 @@ func (ss *session) handleJoin(id uint64, jr *wire.JoinRequest) error {
 			break
 		}
 		if err != nil {
-			return ss.sendErr(id, err)
+			return fail(err)
 		}
 		out := make([]wire.JoinedRow, len(rows))
 		for i, r := range rows {
@@ -739,13 +747,13 @@ func (ss *session) handleJoin(id uint64, jr *wire.JoinRequest) error {
 			// Best effort: if the conn is still alive (e.g. a single row
 			// overflowed the frame limit) the client must still get a
 			// terminal frame.
-			ss.sendErr(id, fmt.Errorf("streaming result: %v", err))
+			fail(fmt.Errorf("streaming result: %v", err))
 			return err
 		}
 	}
 	revealed := stream.RevealedPairs()
 	ss.srv.logf("join %q x %q: %d result rows, %d revealed pairs", jr.TableA, jr.TableB, sent, revealed)
-	return ss.send(&wire.Frame{ID: id, Summary: &wire.JoinSummary{RevealedPairs: revealed}})
+	return end(&wire.Frame{ID: id, Summary: &wire.JoinSummary{RevealedPairs: revealed}})
 }
 
 // persistCounters checkpoints the engine's per-table leakage counters

@@ -1,4 +1,4 @@
-// Package wire defines the v2 client/server protocol: a versioned
+// Package wire defines the v3 client/server protocol: a versioned
 // handshake followed by length-prefixed gob frames. Requests carry a
 // client-chosen ID and may be pipelined; the server answers each ID
 // with zero or more JoinBatch frames followed by exactly one terminal
@@ -20,9 +20,12 @@ import (
 )
 
 // Version is the protocol version spoken by this package. Version 1 was
-// the unversioned blocking request/response protocol; it is no longer
-// accepted.
-const Version = 2
+// the unversioned blocking request/response protocol. Version 2 carried
+// tokens as G1 elements and row ciphertexts as G2 elements; version 3
+// swapped the groups (tokens in G2, ciphertexts in G1), so a version 2
+// peer's bytes would not decode and is refused at the handshake. Only
+// the current version is accepted.
+const Version = 3
 
 // MaxFrameSize bounds a single frame's payload so a malformed or
 // hostile peer cannot force an unbounded allocation.
@@ -156,7 +159,7 @@ type UploadRow struct {
 // should use for this query (0 picks the server default; the server
 // clamps the hint to its core count). All three fields are gob
 // zero-valued when absent, so requests from clients that predate them
-// execute exactly the v2 full-scan, server-paced join — no handshake
+// execute exactly the plain full-scan, server-paced join — no handshake
 // or version change.
 //
 // CandidatesA/B optionally restrict a side to an explicit row-id list
